@@ -13,6 +13,7 @@ the unit of Fig 10's success/degraded/failed/incomplete accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -304,10 +305,40 @@ class Coordinator:
         instances: Sequence[PatchworkInstance],
         deadline: float,
     ) -> None:
-        """Drive the simulator until every instance finishes or time runs out."""
-        while sim.now < deadline and not all(inst.finished for inst in instances):
-            if not sim.step():
-                break
+        """Drive the simulator until every instance finishes or time runs out.
+
+        The wave ends right after the event in which the last instance
+        finished: each instance's ``on_done`` hook counts it down and
+        calls :meth:`Simulator.stop`.  Otherwise it ends after the first
+        event that fires at or past ``deadline`` (events keep firing
+        while the clock is before it), and the stragglers are aborted at
+        that instant -- or at ``deadline`` itself if the queue drained.
+        """
+        unfinished = [inst for inst in instances if not inst.finished]
+        if unfinished and sim.now < deadline:
+            remaining = len(unfinished)
+            hooks = {inst: inst.on_done for inst in unfinished}
+
+            def done(instance: PatchworkInstance) -> None:
+                nonlocal remaining
+                if hooks[instance] is not None:
+                    hooks[instance](instance)
+                remaining -= 1
+                if not remaining:
+                    sim.stop()
+
+            for instance in unfinished:
+                instance.on_done = done
+            try:
+                # Everything strictly before the deadline, then the one
+                # event that crosses it -- unless a nested control-plane
+                # wait already carried the clock past the deadline.
+                sim.run(until=math.nextafter(deadline, -math.inf))
+                if remaining and sim.now < deadline and not sim.step():
+                    sim.run(until=deadline)  # drained: wait out the budget
+            finally:
+                for instance, hook in hooks.items():
+                    instance.on_done = hook
         for instance in instances:
             if not instance.finished:
                 instance.abort("coordinator deadline reached")

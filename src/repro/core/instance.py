@@ -62,7 +62,7 @@ from repro.testbed.errors import MirrorConflictError, TestbedError
 from repro.testbed.nic import NicPort
 from repro.testbed.switch import MirrorSession
 
-_instance_ids = itertools.count(1)
+_instance_ids = itertools.count(1)  # reprolint: disable=RL013 -- label fallback for ad-hoc instances; coordinator runs never use it
 
 
 @dataclass

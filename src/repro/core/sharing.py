@@ -26,8 +26,6 @@ from repro.netsim.engine import Event, Simulator
 
 PortKey = Tuple[str, str]  # (site, source port id)
 
-_lease_ids = itertools.count(1)
-
 
 @dataclass
 class MirrorLease:
@@ -71,6 +69,7 @@ class MirrorScheduler:
         self._revokers: Dict[int, Optional[RevokeCallback]] = {}
         self._expiry_events: Dict[int, Event] = {}
         self.grants_issued = 0
+        self._lease_ids = itertools.count(1)
 
     # -- user API ------------------------------------------------------------
 
@@ -112,7 +111,7 @@ class MirrorScheduler:
         request = queue.popleft()
         site, port_id = key
         lease = MirrorLease(
-            lease_id=next(_lease_ids),
+            lease_id=next(self._lease_ids),
             site=site,
             port_id=port_id,
             holder=request.holder,

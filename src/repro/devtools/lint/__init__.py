@@ -11,7 +11,7 @@ reproduction actually lives or dies by:
   central taxonomy (the frame-conservation ledger, PR 4).
 
 reprolint enforces them statically in two phases: per-file AST rules
-(RL000-RL008) over each module, then whole-program rules (RL009-RL012:
+(RL000-RL008, RL013) over each module, then whole-program rules (RL009-RL012:
 journal event-schema contracts, process-boundary picklability,
 parent-only durability, seed-provenance taint) over a cached project
 index (``lint/project.py``) of symbols, call edges, and propagated

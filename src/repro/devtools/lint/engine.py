@@ -7,7 +7,7 @@ Two phases:
    the :class:`~repro.devtools.lint.project.ProjectIndex`, whose
    per-file fact extraction is cached on content hashes
    (``.reprolint-cache.json``) so warm runs only re-extract edits.
-2. **rules** -- per-file rules (RL000--RL008) visit each AST; project
+2. **rules** -- per-file rules (RL000--RL008, RL013) visit each AST; project
    rules (RL009--RL012) run once against the merged index.
 
 Rules are pure functions of their input (AST or index); the engine owns

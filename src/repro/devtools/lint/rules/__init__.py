@@ -7,7 +7,7 @@ additional rules with :func:`register`.
 
 Two families:
 
-* **per-file rules** (:data:`RULES`, RL000--RL008) -- pure AST visitors
+* **per-file rules** (:data:`RULES`, RL000--RL008 and RL013) -- pure AST visitors
   over one module;
 * **project rules** (:data:`PROJECT_RULES`, RL009--RL012) -- run once
   against the whole-program :class:`~..project.ProjectIndex` after
@@ -40,6 +40,7 @@ from repro.devtools.lint.rules import (  # noqa: F401  (registration imports)
     rl010_process_boundary,
     rl011_parent_durability,
     rl012_seed_provenance,
+    rl013_global_counter,
 )
 
 __all__ = ["PROJECT_RULES", "RULES", "ProjectRule", "Rule", "register",

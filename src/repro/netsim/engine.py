@@ -1,16 +1,22 @@
 """The discrete-event engine.
 
-A minimal, fast event loop: events are ``(time, sequence, callback)``
-triples in a binary heap.  The sequence number breaks ties so that events
-scheduled at the same instant fire in scheduling order, which keeps runs
-deterministic (a requirement for reproducible experiments).
+A minimal, fast event loop.  The heap holds ``(time, seq, event)``
+tuples, so ordering is decided by C-level tuple comparison: earlier
+``time`` first, and for equal times the lower ``seq`` -- the order in
+which the events were scheduled.  ``(time, seq)`` is the whole ordering
+contract; it keeps runs deterministic (a requirement for reproducible
+experiments).  ``seq`` is unique per simulator, so the comparison never
+reaches the :class:`Event` itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class Event:
@@ -40,9 +46,6 @@ class Event:
         if self._sim is not None:
             self._sim._live -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.9f} #{self.seq}{state}>"
@@ -62,51 +65,65 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self.events_processed = 0
         self._live = 0  # pending non-cancelled events (O(1) `pending`)
+        self._running = False  # an outermost `run` is on the stack
+        self._stopping = False  # stop() was called during that run
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        time = self.now + delay
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, self)
+        _heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} (now is {self.now})")
-        event = Event(time, next(self._counter), callback, args, self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, self)
+        _heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            _heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run one event.  Returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.fired = True
-            self._live -= 1
-            event.callback(*event.args)
-            self.events_processed += 1
-            return True
-        return False
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
+
+    def stop(self) -> None:
+        """End the current :meth:`run` once the event now firing returns.
+
+        Meant to be called from a callback.  The stop applies to the
+        outermost active ``run``: a ``run`` nested inside a callback (a
+        control-plane wait, say) still completes its own ``until`` /
+        ``max_events`` contract, and the outer run returns after the
+        event that contains it.  A stopped run leaves the clock at that
+        event's time -- it does not advance to ``until``.  Outside a run
+        this is a no-op.
+        """
+        self._stopping = True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` passes, or
-        ``max_events`` have fired.
+        """Run events until the queue drains, ``until`` passes,
+        ``max_events`` have fired, or a callback calls :meth:`stop`.
 
-        The two limits compose: whichever is hit first stops the run.
+        The limits compose: whichever is hit first stops the run.
         When ``until`` is given, the clock is advanced to exactly
         ``until`` at the end -- even if the queue drained earlier, and
         also when ``max_events`` stopped the run with no remaining work
@@ -115,18 +132,40 @@ class Simulator:
         before ``until``, the clock stays at the last fired event (it
         never jumps over pending work).
         """
+        heap = self._heap
+        limit = float("inf") if until is None else until
+        # -1 never equals the fired count, so it means "no cap".
+        cap = -1 if max_events is None else max(0, max_events)
+        outermost = not self._running
+        if outermost:
+            self._running = True
+            self._stopping = False
         fired = 0
-        while self._heap:
-            next_time = self.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            self.step()
-            fired += 1
-        if until is not None and self.now < until:
+        stopped = False
+        try:
+            while heap:
+                entry = _heappop(heap)
+                event = entry[2]
+                if event.cancelled:
+                    continue
+                time = entry[0]
+                if time > limit or fired == cap:
+                    _heappush(heap, entry)
+                    break
+                self.now = time
+                event.fired = True
+                self._live -= 1
+                event.callback(*event.args)
+                self.events_processed += 1
+                fired += 1
+                if self._stopping and outermost:
+                    stopped = True
+                    break
+        finally:
+            if outermost:
+                self._running = False
+                self._stopping = False
+        if until is not None and not stopped and self.now < until:
             next_time = self.peek_time()
             if next_time is None or next_time > until:
                 self.now = until

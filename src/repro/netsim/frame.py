@@ -10,18 +10,12 @@ head always contains the complete header stack (built by
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-_frame_ids = itertools.count(1)
-
 # How many leading bytes of each frame the generators serialize.  This
 # comfortably exceeds the deepest encapsulation stack the paper reports
 # (12 headers) plus the paper's largest truncation length (200 B).
 DEFAULT_HEAD_BYTES = 256
 
 
-@dataclass
 class Frame:
     """One Ethernet frame in flight.
 
@@ -30,21 +24,30 @@ class Frame:
     metadata fields (``flow_id``, ``slice_id``, ``site``) exist for
     bookkeeping and validation in tests -- the capture and analysis code
     never reads them, it works from the bytes like the real system.
+
+    A frame has no identity beyond the Python object: there is no id
+    counter, equality is identity, and ``__slots__`` keeps the per-frame
+    footprint to the six fields.
     """
 
-    wire_len: int
-    head: bytes
-    created_at: float = 0.0
-    flow_id: int = 0
-    slice_id: str = ""
-    site: str = ""
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    __slots__ = ("wire_len", "head", "created_at", "flow_id", "slice_id", "site")
 
-    def __post_init__(self) -> None:
-        if self.wire_len <= 0:
+    def __init__(self, wire_len: int, head: bytes, created_at: float = 0.0,
+                 flow_id: int = 0, slice_id: str = "", site: str = ""):
+        if wire_len <= 0:
             raise ValueError("frame must have positive wire length")
-        if len(self.head) > self.wire_len:
+        if len(head) > wire_len:
             raise ValueError("head cannot exceed wire length")
+        self.wire_len = wire_len
+        self.head = head
+        self.created_at = created_at
+        self.flow_id = flow_id
+        self.slice_id = slice_id
+        self.site = site
+
+    def __repr__(self) -> str:
+        return (f"Frame(wire_len={self.wire_len}, head=<{len(self.head)} B>, "
+                f"flow_id={self.flow_id}, site={self.site!r})")
 
     def captured_bytes(self, snaplen: int) -> bytes:
         """The bytes a capture with the given snap length would record.
@@ -58,12 +61,6 @@ class Frame:
         return self.head + b"\x00" * (want - len(self.head))
 
     def clone(self) -> "Frame":
-        """A copy with its own frame id (used by port mirroring)."""
-        return Frame(
-            wire_len=self.wire_len,
-            head=self.head,
-            created_at=self.created_at,
-            flow_id=self.flow_id,
-            slice_id=self.slice_id,
-            site=self.site,
-        )
+        """A distinct copy with the same bytes (used by port mirroring)."""
+        return Frame(self.wire_len, self.head, self.created_at,
+                     self.flow_id, self.slice_id, self.site)

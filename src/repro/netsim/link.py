@@ -163,13 +163,27 @@ class Channel:
         self.sim.schedule(serialization, self._finish_transmit, frame)
 
     def _finish_transmit(self, frame: Frame) -> None:
-        self.stats.tx_frames += 1
-        self.stats.tx_bytes += frame.wire_len
+        # The hot path: a zero-propagation delivery and the start of the
+        # next frame are inlined (same order as _deliver + _start_next).
+        stats = self.stats
+        wire_len = frame.wire_len
+        stats.tx_frames += 1
+        stats.tx_bytes += wire_len
         if self.propagation_delay > 0:
             self.sim.schedule(self.propagation_delay, self._deliver, frame)
         else:
-            self._deliver(frame)
-        self._start_next()
+            stats.delivered_frames += 1
+            stats.delivered_bytes += wire_len
+            for sink in self._sinks:
+                sink(frame)
+        queue = self._queue
+        if queue:
+            frame = queue.popleft()
+            self._queued_bytes -= frame.wire_len
+            self.sim.schedule(frame.wire_len * 8.0 / self.rate_bps,
+                              self._finish_transmit, frame)
+        else:
+            self._busy = False
 
     def _deliver(self, frame: Frame) -> None:
         self.stats.delivered_frames += 1

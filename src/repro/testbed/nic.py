@@ -29,7 +29,7 @@ from repro.netsim.link import DuplexLink
 
 Receiver = Callable[[Frame], None]
 
-_nic_ids = itertools.count(1)
+_nic_ids = itertools.count(1)  # reprolint: disable=RL013 -- name fallback for ad-hoc NICs; federation-built NICs are always named
 
 
 class NicPort:

@@ -19,7 +19,7 @@ from repro.testbed.nic import DedicatedNIC, FPGANic
 from repro.testbed.resources import ResourceCapacity
 from repro.testbed.switch import MirrorSession
 
-_slice_ids = itertools.count(1)
+_slice_ids = itertools.count(1)  # reprolint: disable=RL013 -- name fallback for ad-hoc requests; program paths always name slices
 
 
 @dataclass

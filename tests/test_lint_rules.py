@@ -263,3 +263,23 @@ def test_rl012_flags_each_provenance_break():
 
 def test_rl012_accepts_hash_of_string_seeds():
     assert project_violations("rl012_good.py", "RL012") == []
+
+
+def test_rl013_flags_every_import_time_counter():
+    # Module constant, class attribute and default argument.
+    assert bad_lines("rl013_bad.py", "RL013") == {6, 10, 13}
+
+
+def test_rl013_catches_the_reintroduced_flow_id_leak():
+    """Acceptance gate: the process-global flow-id counter that made a
+    second in-process run's pcaps differ must be caught."""
+    source = (Path(__file__).parent.parent / "src" / "repro" / "traffic"
+              / "workloads.py").read_text()
+    leaked = source + "\n_flow_ids = itertools.count(1)\n"
+    ctx = FileContext(Path("workloads.py"), "src/repro/traffic/workloads.py",
+                      leaked, ast.parse(leaked))
+    found = RULES["RL013"](ctx, {}).run()
+    assert [v.snippet for v in found] == ["_flow_ids = itertools.count(1)"]
+    clean = FileContext(Path("workloads.py"), "src/repro/traffic/workloads.py",
+                        source, ast.parse(source))
+    assert RULES["RL013"](clean, {}).run() == []

@@ -33,11 +33,17 @@ def test_shipped_tree_json_accounting(capsys):
     assert document["violations"] == []
     assert document["files_checked"] > 50
     # Exemptions stay visible, not invisible: pipeline stage timings
-    # (RL001) and gather's in-memory tarfile buffer (RL008, landed via
-    # atomic_write_bytes) are pragma'd, never silently dropped.
+    # (RL001), gather's in-memory tarfile buffer (RL008, landed via
+    # atomic_write_bytes) and the name-fallback counters of ad-hoc
+    # instances, NICs and slice requests (RL013) are pragma'd, never
+    # silently dropped.
     assert len(document["suppressed"]) >= 1
     assert {entry["rule"] for entry in document["suppressed"]} == \
-        {"RL001", "RL008"}
+        {"RL001", "RL008", "RL013"}
+    assert sorted(entry["path"].rsplit("/", 1)[-1]
+                  for entry in document["suppressed"]
+                  if entry["rule"] == "RL013") == \
+        ["instance.py", "nic.py", "slice_model.py"]
 
 
 def test_no_bytecode_tracked_in_git():

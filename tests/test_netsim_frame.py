@@ -1,4 +1,4 @@
-"""Tests for the Frame dataclass."""
+"""Tests for the Frame value class."""
 
 import pytest
 
@@ -19,18 +19,37 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(wire_len=10, head=b"\x00" * 20)
 
-    def test_frame_ids_unique(self):
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError):
+            Frame(wire_len=-60, head=b"")
+
+    def test_head_may_fill_the_whole_frame(self):
+        assert Frame(wire_len=60, head=b"\x00" * 60).wire_len == 60
+
+    def test_equal_content_frames_are_distinct_objects(self):
+        # Frames have no id field: identity is the object, and equality
+        # is identity, so two same-content frames never compare equal.
         a = Frame(wire_len=60, head=b"\x00" * 60)
         b = Frame(wire_len=60, head=b"\x00" * 60)
-        assert a.frame_id != b.frame_id
+        assert a is not b
+        assert a != b
+        assert a == a
 
-    def test_clone_gets_new_id_same_content(self):
+    def test_clone_is_distinct_copy_same_content(self):
         original = Frame(wire_len=100, head=b"\x07" * 80, flow_id=5, site="STAR")
         clone = original.clone()
-        assert clone.frame_id != original.frame_id
+        assert clone is not original
+        assert clone.wire_len == original.wire_len
         assert clone.head == original.head
         assert clone.flow_id == 5
         assert clone.site == "STAR"
+
+    def test_slotted_without_identity(self):
+        frame = Frame(wire_len=100, head=b"\x00" * 14)
+        assert not hasattr(frame, "__dict__")
+        assert not hasattr(frame, "frame_id")
+        with pytest.raises(AttributeError):
+            frame.tag = "x"
 
 
 class TestCapturedBytes:
