@@ -16,7 +16,7 @@ from repro.telemetry.netflow import NetFlowExporter
 from repro.testbed import FederationBuilder
 from repro.traffic.encapsulation import EncapKind
 from repro.traffic.endpoints import EndpointRegistry
-from repro.traffic.flows import STANDARD_APPS, Flow
+from repro.traffic.flows import STANDARD_APPS, Flow, FrameTemplates
 from repro.util.tables import Table
 
 
@@ -35,6 +35,7 @@ def test_ablation_netflow(benchmark):
 
     def run():
         rng = np.random.default_rng(3)
+        templates = FrameTemplates()
         true_flows = 0
         # Ten flows in slice VLAN 100 and ten in slice VLAN 2900, all
         # reusing the same endpoints/ports -- only the tags differ.
@@ -45,7 +46,7 @@ def test_ablation_netflow(benchmark):
             for i in range(10):
                 Flow(sim=federation.sim, flow_id=vlan * 100 + i, src=a, dst=b,
                      app=STANDARD_APPS["iperf-tcp"], total_bytes=20_000,
-                     rng=np.random.default_rng(i),
+                     rng=np.random.default_rng(i), templates=templates,
                      encap=EncapKind.VLAN_MPLS, vlan_id=vlan,
                      mpls_label=16000 + vlan,
                      start_time=federation.sim.now + i * 0.05).start()
@@ -54,7 +55,7 @@ def test_ablation_netflow(benchmark):
         for i in range(5):
             Flow(sim=federation.sim, flow_id=90_000 + i, src=a, dst=b,
                  app=STANDARD_APPS["tls-web"], total_bytes=10_000,
-                 rng=np.random.default_rng(90_000 + i),
+                 rng=np.random.default_rng(90_000 + i), templates=templates,
                  encap=EncapKind.VLAN_MPLS_PW, vlan_id=500,
                  start_time=federation.sim.now + i * 0.05).start()
             true_flows += 1

@@ -35,6 +35,7 @@ def main() -> None:
     for i in range(6):
         Flow(sim=federation.sim, flow_id=10_000 + i, src=my_src, dst=my_dst,
              app=STANDARD_APPS["iperf-tcp"], total_bytes=400_000, rng=rng,
+             templates=orchestrator.templates,
              encap=EncapKind.VLAN_MPLS, vlan_id=2900, mpls_label=19000,
              start_time=10.0 + i * 15.0, rate_scale=0.05).start()
 

@@ -13,15 +13,21 @@ import struct
 def ones_complement_sum(data: bytes) -> int:
     """Return the 16-bit one's-complement sum over ``data``.
 
-    Odd-length input is zero-padded on the right, per RFC 1071.
+    Odd-length input is zero-padded on the right, per RFC 1071.  Since
+    2**16 is 1 modulo 0xFFFF, summing the big-endian 16-bit words with
+    end-around carry is reducing the whole input, read as one big-endian
+    integer, modulo 0xFFFF.  The carry fold never produces 0 once any
+    word is non-zero, so a zero remainder reads 0xFFFF unless every byte
+    is zero.  The reduction runs at C level, which keeps jumbo frames
+    cheap.
     """
+    value = int.from_bytes(data, "big")
     if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-        total = (total & 0xFFFF) + (total >> 16)
-    return total & 0xFFFF
+        value <<= 8
+    total = value % 0xFFFF
+    if total == 0 and value:
+        return 0xFFFF
+    return total
 
 
 def internet_checksum(data: bytes) -> int:

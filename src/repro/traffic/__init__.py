@@ -27,7 +27,7 @@ from repro.traffic.distributions import (
 )
 from repro.traffic.encapsulation import EncapKind, underlay_stack
 from repro.traffic.endpoints import EndpointRegistry, TrafficEndpoint
-from repro.traffic.flows import AppSpec, Flow, STANDARD_APPS
+from repro.traffic.flows import AppSpec, Flow, FrameTemplates, STANDARD_APPS
 from repro.traffic.workloads import (
     SiteTrafficGenerator,
     WorkloadProfile,
@@ -48,6 +48,7 @@ __all__ = [
     "TrafficEndpoint",
     "AppSpec",
     "Flow",
+    "FrameTemplates",
     "STANDARD_APPS",
     "SiteTrafficGenerator",
     "WorkloadProfile",

@@ -8,22 +8,24 @@ frames consist of payload-free ACKs in a TCP stream").  TCP flows open
 with a SYN and close with a FIN (occasionally RST, which the paper calls
 out as important control information).
 
-Frames are built once as byte templates and then re-stamped per
-transmission, so generating a large flow costs one frame construction
-plus cheap per-frame events.
+Frames are built once per world and frame shape as byte templates
+(:class:`FrameTemplates`), patched with each flow's addresses and port,
+and then re-stamped per transmission, so generating a large flow costs
+a few byte patches plus cheap per-frame events.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.netsim.engine import Simulator
 from repro.netsim.frame import DEFAULT_HEAD_BYTES, Frame
 from repro.packets.builder import FrameBuilder, FrameSpec, MIN_FRAME_SIZE
+from repro.packets.checksum import ones_complement_sum
 from repro.packets.headers import (
     DNSHeader,
     HTTPPayload,
@@ -41,6 +43,9 @@ from repro.packets.headers import (
     TCP_SYN,
     TLSRecord,
     UDP,
+    ipv4_bytes,
+    ipv6_bytes,
+    mac_bytes,
 )
 from repro.traffic.encapsulation import EncapKind, underlay_stack
 from repro.traffic.endpoints import TrafficEndpoint
@@ -103,24 +108,88 @@ STANDARD_APPS: Dict[str, AppSpec] = {
 }
 
 
-def _incremental_checksum_patch(data: bytearray, field_offset: int,
-                                new_value: int, checksum_offset: int) -> None:
-    """Replace a 16-bit field and fix the checksum incrementally.
+def _adjust_checksum(data: bytearray, offset: int, delta: int,
+                     udp: bool = False) -> None:
+    """Add ``delta`` to the words a stored Internet checksum covers.
 
-    RFC 1624: HC' = ~(~HC + ~m + m').  A stored checksum of zero means
-    "not checksummed" (UDP) and is left alone.
+    RFC 1624 eqn. 3 in sum form: the covered sum is ``s = ~c``; after
+    the change it is ``s' = (s + delta) mod 0xFFFF``, read as 0xFFFF
+    when the remainder is 0 (a full build's carry fold yields 0 only for
+    all-zero words, which an IPv4 header or a pseudo-header never is),
+    and the new checksum is ``~s'``.  A stored 0x0000 is an ordinary
+    checksum here: only a UDP field reserves it for "no checksum", so a
+    UDP result of 0 is written as 0xFFFF (RFC 768), exactly as a full
+    build writes it.
     """
-    old = (data[field_offset] << 8) | data[field_offset + 1]
-    checksum = (data[checksum_offset] << 8) | data[checksum_offset + 1]
-    if checksum != 0:
-        total = ((~checksum) & 0xFFFF) + ((~old) & 0xFFFF) + new_value
-        total = (total & 0xFFFF) + (total >> 16)
-        total = (total & 0xFFFF) + (total >> 16)
-        checksum = (~total) & 0xFFFF
-        data[checksum_offset] = checksum >> 8
-        data[checksum_offset + 1] = checksum & 0xFF
-    data[field_offset] = new_value >> 8
-    data[field_offset + 1] = new_value & 0xFF
+    checksum = (data[offset] << 8) | data[offset + 1]
+    total = ((~checksum & 0xFFFF) + delta) % 0xFFFF or 0xFFFF
+    checksum = ~total & 0xFFFF
+    if udp and checksum == 0:
+        checksum = 0xFFFF
+    data[offset] = checksum >> 8
+    data[offset + 1] = checksum & 0xFF
+
+
+def _patch_word(data: bytearray, offset: int, value: int) -> int:
+    """Write the 16-bit ``value`` at ``offset``; return the checksum
+    delta (new minus old word)."""
+    old = (data[offset] << 8) | data[offset + 1]
+    data[offset] = value >> 8
+    data[offset + 1] = value & 0xFF
+    return value - old
+
+
+@dataclass(frozen=True)
+class _WireAddresses:
+    """One endpoint's addresses as they go on the wire."""
+
+    mac: bytes
+    ipv4: bytes
+    ipv4_sum: int
+    ipv6: bytes
+    ipv6_sum: int
+
+
+class FrameTemplates:
+    """One world's frame templates, keyed by frame shape.
+
+    A shape is ``(app, encap, vlan_id, mpls_label, use_ipv6, kind)``: no
+    endpoint address is part of it.  Each template is built once, from
+    all-zero placeholder addresses and a placeholder source port, and
+    every flow patches its own MACs, IP addresses and port (or ICMP
+    identifier) in at fixed offsets, updating the checksums
+    incrementally.  The cache belongs to the world's
+    :class:`~repro.traffic.workloads.TrafficOrchestrator` (or whoever
+    builds flows), so no build state outlives a world.
+    """
+
+    def __init__(self) -> None:
+        self.builder = FrameBuilder()
+        self.shapes: Dict[tuple, Tuple[int, bytes]] = {}
+        self._wire: Dict[Tuple[str, str, str], _WireAddresses] = {}
+
+    def wire(self, endpoint: TrafficEndpoint) -> _WireAddresses:
+        """``endpoint``'s packed addresses (parsed once per world)."""
+        key = (endpoint.mac, endpoint.ipv4, endpoint.ipv6)
+        wire = self._wire.get(key)
+        if wire is None:
+            ipv4 = ipv4_bytes(endpoint.ipv4)
+            ipv6 = ipv6_bytes(endpoint.ipv6)
+            wire = self._wire[key] = _WireAddresses(
+                mac_bytes(endpoint.mac), ipv4, ones_complement_sum(ipv4),
+                ipv6, ones_complement_sum(ipv6))
+        return wire
+
+
+# Placeholders a template is built with, patched per flow.
+_ZERO_MAC = "00:00:00:00:00:00"
+_ZERO_IPV4 = "0.0.0.0"
+_ZERO_IPV6 = "::"
+_TEMPLATE_SPORT = 40000
+
+# Offset of the inner Ethernet header in a VLAN_MPLS_PW frame:
+# outer Ethernet 14 + VLAN 4 + MPLS 4 + MPLS 4 + PW control word 4.
+_PW_INNER_ETHERNET = 30
 
 
 class Flow:
@@ -131,15 +200,12 @@ class Flow:
     the next, so memory stays bounded for huge flows.  The flow stops at
     ``total_bytes`` sent or at ``stop_time``, whichever comes first.
 
-    Frame templates are cached per (app, encapsulation, addressing)
-    shape and per-flow port numbers are patched in with an incremental
-    checksum update, so creating tens of thousands of small flows stays
-    cheap while every flow keeps a distinct, valid five-tuple.
+    Frame templates come from the world's :class:`FrameTemplates`, one
+    per frame shape; the flow's addresses and port are patched in with
+    incremental checksum updates, so creating tens of thousands of small
+    flows stays cheap while every flow keeps a distinct, valid
+    five-tuple.
     """
-
-    _builder = FrameBuilder()
-    _template_cache: Dict[tuple, Frame] = {}
-    _TEMPLATE_SPORT = 40000  # placeholder patched per flow
 
     def __init__(
         self,
@@ -150,6 +216,7 @@ class Flow:
         app: AppSpec,
         total_bytes: int,
         rng: np.random.Generator,
+        templates: FrameTemplates,
         encap: EncapKind = EncapKind.VLAN_MPLS,
         vlan_id: int = 100,
         mpls_label: int = 16000,
@@ -168,6 +235,7 @@ class Flow:
         self.app = app
         self.total_bytes = total_bytes
         self.rng = rng
+        self.templates = templates
         self.encap = encap
         self.vlan_id = vlan_id
         self.mpls_label = mpls_label
@@ -182,8 +250,8 @@ class Flow:
         if rate_scale <= 0:
             raise ValueError("rate_scale must be positive")
         self.rate_scale = rate_scale
-        self._data_template = self._build_frame(forward=True, kind="data")
-        self._ack_template = self._build_frame(forward=False, kind="ack")
+        self._data_template = self._build_frame("data")
+        self._ack_template = self._build_frame("ack")
         self._data_interval = self._data_template.wire_len * 8.0 / (app.rate_bps * rate_scale)
         self._payload_per_frame = max(1, self._payload_bytes_per_data_frame())
 
@@ -193,7 +261,7 @@ class Flow:
         """Arm the flow on the simulator."""
         at = max(self.start_time, self.sim.now)
         if self.app.transport == "tcp":
-            syn = self._build_frame(forward=True, kind="syn")
+            syn = self._build_frame("syn")
             self.sim.schedule_at(at, self._send, self.src, syn)
             first_data = at + self.rtt  # handshake turnaround
         else:
@@ -231,7 +299,7 @@ class Flow:
         self.finished = True
         if self.app.transport == "tcp":
             kind = "rst" if self.rng.random() < self.app.rst_probability else "fin"
-            closing = self._build_frame(forward=True, kind=kind)
+            closing = self._build_frame(kind)
             self.sim.schedule(self._data_interval, self._send, self.src, closing)
 
     def _send(self, endpoint: TrafficEndpoint, frame: Frame) -> None:
@@ -251,36 +319,61 @@ class Flow:
     # -- frame construction ------------------------------------------------
 
     def _payload_bytes_per_data_frame(self) -> int:
-        overhead = self._data_template.wire_len - self.app.inner_frame_size
         ip_tcp = 40 if not self.use_ipv6 else 60
         return max(1, self.app.inner_frame_size - 14 - ip_tcp)
 
-    def _transport_offset(self) -> int:
-        """Byte offset of the transport header in this flow's frames."""
-        return 14 + _outer_overhead(self.encap) + (40 if self.use_ipv6 else 20)
-
-    def _build_frame(self, forward: bool, kind: str) -> Frame:
-        """A frame of one kind ('data'/'ack'/'syn'/'fin'/'rst'),
-        fetched from the shape cache and patched with this flow's port."""
+    def _build_frame(self, kind: str) -> Frame:
+        """A frame of one kind ('data'/'ack'/'syn'/'fin'/'rst'): the
+        shape's template with this flow's addresses and port patched in.
+        An 'ack' (or a request/response reply) travels destination to
+        source; every other kind travels source to destination."""
+        forward = kind != "ack"
         src, dst = (self.src, self.dst) if forward else (self.dst, self.src)
         key = (self.app.name, self.encap, self.vlan_id, self.mpls_label,
-               src.mac, dst.mac, self.use_ipv6, kind)
-        template = self._template_cache.get(key)
+               self.use_ipv6, kind)
+        shapes = self.templates.shapes
+        template = shapes.get(key)
         if template is None:
-            template = self._build_template(src, dst, forward, kind)
-            self._template_cache[key] = template
-        head = bytearray(template.head)
-        offset = self._transport_offset()
-        if self.app.transport == "icmp":
-            # Flow identity lives in the echo identifier.
-            _incremental_checksum_patch(head, offset + 4,
-                                        self.flow_id & 0xFFFF, offset + 2)
+            template = shapes[key] = self._build_template(forward, kind)
+        wire_len, template_head = template
+        head = bytearray(template_head)
+        wire_src = self.templates.wire(src)
+        wire_dst = self.templates.wire(dst)
+        head[0:6] = wire_dst.mac
+        head[6:12] = wire_src.mac
+        if self.encap is EncapKind.VLAN_MPLS_PW:
+            head[_PW_INNER_ETHERNET:_PW_INNER_ETHERNET + 6] = wire_dst.mac
+            head[_PW_INNER_ETHERNET + 6:_PW_INNER_ETHERNET + 12] = wire_src.mac
+        ip = 14 + self.encap.overhead_bytes
+        if self.use_ipv6:
+            head[ip + 8:ip + 40] = wire_src.ipv6 + wire_dst.ipv6
+            address_sum = wire_src.ipv6_sum + wire_dst.ipv6_sum
+            transport = ip + 40
         else:
-            field = offset if forward else offset + 2
-            checksum = offset + (16 if self.app.transport == "tcp" else 6)
-            _incremental_checksum_patch(head, field, self.sport, checksum)
+            head[ip + 12:ip + 20] = wire_src.ipv4 + wire_dst.ipv4
+            address_sum = wire_src.ipv4_sum + wire_dst.ipv4_sum
+            _adjust_checksum(head, ip + 10, address_sum)
+            transport = ip + 20
+        if self.app.transport == "icmp":
+            # Flow identity lives in the echo identifier; the ICMP
+            # checksum covers no pseudo-header, so addresses leave it be.
+            delta = _patch_word(head, transport + 4, self.flow_id & 0xFFFF)
+            _adjust_checksum(head, transport + 2, delta)
+            if not any(head[transport:transport + 2]) and not any(head[transport + 4:]):
+                # An echo reply with identifier 0 and no payload is the
+                # one covered message that is all zero words: it sums to
+                # 0, not 0xFFFF, so a full build writes 0xFFFF.  (Bytes
+                # after it are zero frame padding; a payload is 0x5A.)
+                head[transport + 2:transport + 4] = b"\xff\xff"
+        else:
+            port = transport if forward else transport + 2
+            delta = address_sum + _patch_word(head, port, self.sport)
+            if self.app.transport == "tcp":
+                _adjust_checksum(head, transport + 16, delta)
+            else:
+                _adjust_checksum(head, transport + 6, delta, udp=True)
         return Frame(
-            wire_len=template.wire_len,
+            wire_len=wire_len,
             head=bytes(head),
             created_at=self.sim.now,
             flow_id=self.flow_id,
@@ -288,19 +381,19 @@ class Flow:
             site=src.site,
         )
 
-    def _build_template(self, src: TrafficEndpoint, dst: TrafficEndpoint,
-                        forward: bool, kind: str) -> Frame:
-        """Build the cacheable template for one frame shape."""
+    def _build_template(self, forward: bool, kind: str) -> Tuple[int, bytes]:
+        """Build one shape's template from placeholder addresses: its
+        wire length and head bytes."""
         stack: List[object] = underlay_stack(
-            self.encap, src.mac, dst.mac, self.vlan_id, self.mpls_label,
-            inner_src_mac=src.mac, inner_dst_mac=dst.mac,
+            self.encap, _ZERO_MAC, _ZERO_MAC, self.vlan_id, self.mpls_label,
+            inner_src_mac=_ZERO_MAC, inner_dst_mac=_ZERO_MAC,
         )
         if self.use_ipv6:
-            stack.append(IPv6(src=src.ipv6, dst=dst.ipv6))
+            stack.append(IPv6(src=_ZERO_IPV6, dst=_ZERO_IPV6))
         else:
-            stack.append(IPv4(src=src.ipv4, dst=dst.ipv4))
-        sport = self._TEMPLATE_SPORT if forward else self.app.dport
-        dport = self.app.dport if forward else self._TEMPLATE_SPORT
+            stack.append(IPv4(src=_ZERO_IPV4, dst=_ZERO_IPV4))
+        sport = _TEMPLATE_SPORT if forward else self.app.dport
+        dport = self.app.dport if forward else _TEMPLATE_SPORT
         is_data = kind == "data"
         if self.app.transport == "tcp":
             flags = {
@@ -316,11 +409,11 @@ class Flow:
         else:
             stack.append(ICMP(icmp_type=8 if forward else 0, ident=0))
         if is_data and self.app.app_header is not None:
-            # Templates are cached process-wide, so building one must
-            # not consume the flow's shared RNG stream: a later run in
-            # the same process would hit the cache, skip the draw, and
-            # desynchronize otherwise-identical seeded traffic.  The
-            # header RNG is derived from the template shape instead.
+            # Only the first flow of a shape builds its template, so
+            # building one must not consume the flow's shared RNG
+            # stream: whether a flow draws would then depend on which
+            # flows came before it.  The header RNG is derived from the
+            # template shape instead.
             header_rng = np.random.default_rng(
                 zlib.crc32(f"{self.app.name}/{kind}/{self.vlan_id}".encode()))
             app_header = self.app.app_header(header_rng)
@@ -333,23 +426,6 @@ class Flow:
         else:
             inner_size = MIN_FRAME_SIZE + 4  # payload-free ACK / control
         stack.append(Payload(0))
-        target = inner_size + _outer_overhead(self.encap)
-        data = self._builder.build(FrameSpec(stack, target_size=target))
-        return Frame(
-            wire_len=len(data),
-            head=bytes(data[:DEFAULT_HEAD_BYTES]),
-            created_at=self.sim.now,
-            flow_id=self.flow_id,
-            slice_id=src.slice_name,
-            site=src.site,
-        )
-
-
-def _outer_overhead(kind: EncapKind) -> int:
-    """Wire bytes the underlay adds on top of an inner frame."""
-    return {
-        EncapKind.PLAIN: 0,
-        EncapKind.VLAN: 4,
-        EncapKind.VLAN_MPLS: 8,
-        EncapKind.VLAN_MPLS_PW: 30,  # VLAN + 2xMPLS + PW + second Ethernet
-    }[kind]
+        target = inner_size + self.encap.overhead_bytes
+        data = self.templates.builder.build(FrameSpec(stack, target_size=target))
+        return len(data), bytes(data[:DEFAULT_HEAD_BYTES])

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,13 +33,30 @@ from repro.testbed.federation import Federation
 from repro.traffic.distributions import flow_size_sampler, poisson_arrival_times
 from repro.traffic.encapsulation import EncapKind
 from repro.traffic.endpoints import EndpointRegistry, TrafficEndpoint
-from repro.traffic.flows import AppSpec, Flow, STANDARD_APPS
+from repro.traffic.flows import AppSpec, Flow, FrameTemplates, STANDARD_APPS
 from repro.util.rng import SeedSequenceFactory
 
 
 def _stable_hash(text: str) -> int:
     """Process-independent string hash (``hash()`` is salted)."""
     return zlib.crc32(text.encode("utf-8"))
+
+
+def _choice_cdf(weights: Sequence[float]) -> Tuple[float, ...]:
+    """The CDF ``Generator.choice(..., p=w / w.sum())`` searches.
+
+    ``bisect_right(cdf, rng.random())`` then picks the same index as
+    ``rng.choice`` from the same single double of the stream: NumPy
+    normalizes ``p.cumsum()`` by its last entry and searches it
+    ``side="right"`` with one ``random()`` draw.
+    """
+    p = np.array(weights, dtype=float)
+    if not (np.isfinite(p).all() and (p >= 0).all() and p.sum() > 0):
+        raise ValueError(f"weights must be finite, non-negative and not all zero: {weights}")
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
 
 
 @dataclass(frozen=True)
@@ -64,17 +82,23 @@ class WorkloadProfile:
     flow_tail_alpha: float = 1.1
     flow_size_cap: float = 1e8
 
+    def __post_init__(self) -> None:
+        # Frozen: the precomputed CDFs are set once, here.
+        object.__setattr__(self, "_app_names", tuple(self.app_weights))
+        object.__setattr__(self, "_app_cdf", _choice_cdf(
+            list(self.app_weights.values())))
+        object.__setattr__(self, "_encaps", tuple(self.encap_weights))
+        object.__setattr__(self, "_encap_cdf", _choice_cdf(
+            list(self.encap_weights.values())))
+
     def pick_app(self, rng: np.random.Generator) -> AppSpec:
-        names = list(self.app_weights)
-        weights = np.array([self.app_weights[n] for n in names], dtype=float)
-        weights /= weights.sum()
-        return STANDARD_APPS[str(rng.choice(names, p=weights))]
+        """One weighted app draw (one double from ``rng``)."""
+        return STANDARD_APPS[
+            self._app_names[bisect_right(self._app_cdf, rng.random())]]
 
     def pick_encap(self, rng: np.random.Generator) -> EncapKind:
-        kinds = list(self.encap_weights)
-        weights = np.array([self.encap_weights[k] for k in kinds], dtype=float)
-        weights /= weights.sum()
-        return kinds[int(rng.choice(len(kinds), p=weights))]
+        """One weighted encapsulation draw (one double from ``rng``)."""
+        return self._encaps[bisect_right(self._encap_cdf, rng.random())]
 
 
 WORKLOAD_PROFILES: Dict[str, WorkloadProfile] = {
@@ -188,6 +212,7 @@ class SiteTrafficGenerator:
         profile: WorkloadProfile,
         rng: np.random.Generator,
         flow_ids: Iterator[int],
+        templates: FrameTemplates,
         scale: float = 1.0,
     ):
         if scale <= 0:
@@ -202,6 +227,8 @@ class SiteTrafficGenerator:
         # are numbered per world: the orchestrator shares one counter
         # among its site generators.
         self._flow_ids = flow_ids
+        # Frame templates are likewise built once per world and shape.
+        self._templates = templates
         self.endpoints: List[TrafficEndpoint] = []
         self.remote_peers: List[TrafficEndpoint] = []
         self.flows: List[Flow] = []
@@ -267,6 +294,7 @@ class SiteTrafficGenerator:
             total_bytes=max(1, int(min(self._size_sampler(self.rng),
                                        app.flow_bytes_cap) * self.scale)),
             rng=self.rng,
+            templates=self._templates,
             rate_scale=self.scale,
             encap=encap,
             vlan_id=100 + (_stable_hash(f"{self.site}/{slice_index}") % 3000),
@@ -292,10 +320,12 @@ class TrafficOrchestrator:
         self.profiles = profiles or assign_site_profiles(federation.site_names(), seed)
         seeds = SeedSequenceFactory(seed)
         flow_ids = itertools.count(1)
+        self.templates = FrameTemplates()
         self.generators: Dict[str, SiteTrafficGenerator] = {
             site: SiteTrafficGenerator(
                 federation, self.registry, site, profile,
-                seeds.rng(f"traffic/{site}"), flow_ids, scale=scale,
+                seeds.rng(f"traffic/{site}"), flow_ids, self.templates,
+                scale=scale,
             )
             for site, profile in self.profiles.items()
         }

@@ -119,16 +119,18 @@ class TestIntegration:
         from repro.packets.pcap import PcapReader
         from repro.testbed import FederationBuilder
         from repro.traffic.endpoints import EndpointRegistry
-        from repro.traffic.flows import STANDARD_APPS, Flow
+        from repro.traffic.flows import STANDARD_APPS, Flow, FrameTemplates
 
         federation = FederationBuilder(seed=42).build(site_names=["STAR", "MICH"])
         registry = EndpointRegistry(federation)
         a, b = registry.create("STAR"), registry.create("STAR")
+        templates = FrameTemplates()
         # Two flows: one TLS (port 443), one iperf (port 5201).
         for app, fid in (("tls-web", 1), ("iperf-tcp", 2)):
             Flow(sim=federation.sim, flow_id=fid, src=a, dst=b,
                  app=STANDARD_APPS[app], total_bytes=50_000,
-                 rng=np.random.default_rng(fid)).start()
+                 rng=np.random.default_rng(fid),
+                 templates=templates).start()
         only_tls = compile_filter("port 443")
         session = CaptureSession(
             federation.sim, b.nic_port, tmp_path / "tls.pcap",

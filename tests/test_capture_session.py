@@ -8,7 +8,7 @@ from repro.capture.session import CaptureMethod, CaptureSession
 from repro.packets.pcap import PcapReader
 from repro.testbed import FederationBuilder
 from repro.traffic.endpoints import EndpointRegistry
-from repro.traffic.flows import STANDARD_APPS, Flow
+from repro.traffic.flows import STANDARD_APPS, Flow, FrameTemplates
 
 
 @pytest.fixture()
@@ -23,7 +23,7 @@ def world():
 def run_flow(federation, a, b, total=100_000):
     flow = Flow(sim=federation.sim, flow_id=1, src=a, dst=b,
                 app=STANDARD_APPS["iperf-tcp"], total_bytes=total,
-                rng=np.random.default_rng(0))
+                rng=np.random.default_rng(0), templates=FrameTemplates())
     flow.start()
     return flow
 

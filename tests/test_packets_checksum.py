@@ -2,6 +2,9 @@
 
 import struct
 
+from hypothesis import HealthCheck, Phase, find, given, settings
+from hypothesis import strategies as st
+
 from repro.packets.checksum import (
     PROTO_TCP,
     PROTO_UDP,
@@ -11,6 +14,8 @@ from repro.packets.checksum import (
     pseudo_header_v6,
     transport_checksum,
 )
+
+from tests.packets_reference import ones_complement_sum_loop
 
 
 class TestOnesComplement:
@@ -71,3 +76,57 @@ class TestPseudoHeaders:
         assert expected != 0
         assert transport_checksum(pseudo, segment, PROTO_TCP) == expected
         assert transport_checksum(pseudo, segment, PROTO_UDP) == expected
+
+
+# -- the C-level reduction against the RFC 1071 word loop ------------------
+
+
+def _sums_to_ffff(data: bytes) -> bytes:
+    """``data`` plus one word that brings its one's-complement sum to
+    0xFFFF (the non-zero input whose reduction remainder is 0)."""
+    padded = data + b"\x00" * (len(data) % 2)
+    return padded + struct.pack("!H", ~ones_complement_sum_loop(padded) & 0xFFFF)
+
+
+INPUTS = st.one_of(
+    st.binary(max_size=600),
+    st.integers(0, 64).map(bytes),
+    st.binary(max_size=64).map(_sums_to_ffff),
+    st.binary(min_size=1, max_size=64).filter(lambda b: len(b) % 2 == 1),
+)
+FIND_SETTINGS = settings(max_examples=2000, deadline=None, database=None,
+                         derandomize=True, phases=[Phase.generate],
+                         suppress_health_check=list(HealthCheck))
+
+
+def _without_ffff_mapping(data: bytes) -> int:
+    value = int.from_bytes(data + b"\x00" * (len(data) % 2), "big")
+    return value % 0xFFFF
+
+
+def _without_odd_padding(data: bytes) -> int:
+    value = int.from_bytes(data, "big")
+    return value % 0xFFFF or (0xFFFF if value else 0)
+
+
+class TestReduction:
+    @settings(max_examples=500, deadline=None)
+    @given(INPUTS)
+    def test_matches_rfc1071_word_loop(self, data):
+        assert ones_complement_sum(data) == ones_complement_sum_loop(data)
+
+    def test_edge_values(self):
+        for data in (b"", b"\x00", b"\x00" * 9000, b"\xff\xff",
+                     b"\xff\xff" * 4500, b"\xff", b"\x80\x00" * 2,
+                     bytes(range(256)) * 36):
+            assert ones_complement_sum(data) == ones_complement_sum_loop(data)
+
+    def test_property_catches_a_zero_remainder_read_as_zero(self):
+        data = find(INPUTS, lambda d: _without_ffff_mapping(d)
+                    != ones_complement_sum_loop(d), settings=FIND_SETTINGS)
+        assert ones_complement_sum_loop(data) == 0xFFFF
+
+    def test_property_catches_missing_odd_padding(self):
+        data = find(INPUTS, lambda d: _without_odd_padding(d)
+                    != ones_complement_sum_loop(d), settings=FIND_SETTINGS)
+        assert len(data) % 2 == 1

@@ -395,7 +395,7 @@ class TestIntStamper:
         from repro.packets.pcap import PcapReader
         from repro.testbed import FederationBuilder
         from repro.traffic.endpoints import EndpointRegistry
-        from repro.traffic.flows import STANDARD_APPS, Flow
+        from repro.traffic.flows import STANDARD_APPS, Flow, FrameTemplates
 
         federation = FederationBuilder(seed=42).build(
             site_names=["STAR", "MICH"])
@@ -414,7 +414,7 @@ class TestIntStamper:
         session.start()
         Flow(sim=federation.sim, flow_id=1, src=a, dst=b,
              app=STANDARD_APPS["iperf-tcp"], total_bytes=100_000,
-             rng=np.random.default_rng(0)).start()
+             rng=np.random.default_rng(0), templates=FrameTemplates()).start()
         federation.sim.run()
         stats = session.stop()
         return stats, session, PcapReader(path).read_all()

@@ -7,7 +7,7 @@ from repro.analysis.dissect import Dissector
 from repro.testbed import FederationBuilder
 from repro.traffic.encapsulation import EncapKind, underlay_stack
 from repro.traffic.endpoints import EndpointRegistry
-from repro.traffic.flows import STANDARD_APPS, AppSpec, Flow
+from repro.traffic.flows import STANDARD_APPS, AppSpec, Flow, FrameTemplates
 
 
 @pytest.fixture()
@@ -21,6 +21,7 @@ def world():
 
 
 def make_flow(federation, src, dst, app="iperf-tcp", total=200_000, **kwargs):
+    kwargs.setdefault("templates", FrameTemplates())
     return Flow(
         sim=federation.sim, flow_id=1, src=src, dst=dst,
         app=STANDARD_APPS[app], total_bytes=total,
@@ -38,6 +39,16 @@ class TestEncapsulation:
     def test_underlay_overheads(self):
         assert EncapKind.PLAIN.header_depth == 1
         assert EncapKind.VLAN_MPLS_PW.header_depth == 6
+
+    @pytest.mark.parametrize("kind", list(EncapKind))
+    def test_overhead_bytes_is_the_packed_underlay(self, kind):
+        # Frame offsets and sizes use overhead_bytes: it must be what the
+        # underlay stack packs to, beyond the one Ethernet header.
+        stack = underlay_stack(kind, "02:00:00:00:00:01", "02:00:00:00:00:02")
+        packed = b""
+        for header in reversed(stack):
+            packed = header.pack(packed)
+        assert len(packed) - 14 == kind.overhead_bytes
 
     def test_pw_stack_has_inner_ethernet(self):
         stack = underlay_stack(EncapKind.VLAN_MPLS_PW, "02:00:00:00:00:01",

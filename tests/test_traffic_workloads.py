@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.testbed import FederationBuilder
+from repro.traffic.encapsulation import EncapKind
+from repro.traffic.flows import STANDARD_APPS
 from repro.traffic.workloads import (
     WORKLOAD_PROFILES,
     TrafficOrchestrator,
+    WorkloadProfile,
     assign_site_profiles,
 )
 
@@ -25,6 +28,46 @@ class TestProfiles:
         rng = np.random.default_rng(0)
         kind = WORKLOAD_PROFILES["mixed"].pick_encap(rng)
         assert kind in WORKLOAD_PROFILES["mixed"].encap_weights
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_PROFILES))
+    def test_picks_match_numpy_choice(self, name):
+        # The precomputed-CDF picks must draw exactly what
+        # ``rng.choice(..., p=...)`` draws, from the same stream position.
+        profile = WORKLOAD_PROFILES[name]
+        apps, app_p = zip(*profile.app_weights.items())
+        encaps, encap_p = zip(*profile.encap_weights.items())
+        app_p = np.array(app_p) / sum(app_p)
+        encap_p = np.array(encap_p) / sum(encap_p)
+        fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(5000):
+            assert profile.pick_app(fast).name == str(slow.choice(apps, p=app_p))
+            assert profile.pick_encap(fast) is encaps[
+                int(slow.choice(len(encaps), p=encap_p))]
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_pick_follows_weight_order_and_edges(self):
+        profile = WorkloadProfile(
+            name="edge", app_weights={"dns": 1.0, "ntp": 0.0, "ssh": 3.0},
+            encap_weights={EncapKind.VLAN: 2.0})
+
+        class Fixed:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self):
+                return self.value
+
+        assert profile.pick_app(Fixed(0.0)) is STANDARD_APPS["dns"]
+        # A zero-weight app is never picked, even at its CDF edge.
+        assert profile.pick_app(Fixed(0.25)) is STANDARD_APPS["ssh"]
+        assert profile.pick_app(Fixed(0.9999999)) is STANDARD_APPS["ssh"]
+        assert profile.pick_encap(Fixed(0.5)) is EncapKind.VLAN
+
+    @pytest.mark.parametrize("weights", [{"dns": -0.5, "ntp": 1.5},
+                                         {"dns": 0.0}, {"dns": float("nan")}])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError):
+            WorkloadProfile(name="bad", app_weights=weights)
 
     def test_assignment_deterministic(self):
         sites = ["A", "B", "C", "D", "E"]
